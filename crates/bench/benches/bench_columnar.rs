@@ -23,14 +23,17 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The seed's row-hashing group counting, verbatim semantics: box every
-/// projected row and hash it.
+/// projected row of raw values and hash it.
 fn group_counts_rowhash(r: &Relation, attrs: &AttrSet) -> FxHashMap<Box<[Value]>, u64> {
-    let positions = r.attr_positions(attrs).expect("attrs are in the schema");
+    let cols: Vec<(&[Value], &[u32])> = attrs
+        .iter()
+        .map(|a| (r.domain(a).unwrap(), r.column_codes(a).unwrap()))
+        .collect();
     let mut counts: FxHashMap<Box<[Value]>, u64> = map_with_capacity(r.len().min(1 << 20));
-    let mut buf: Vec<Value> = vec![0; positions.len()];
-    for row in r.iter_rows() {
-        for (k, &p) in positions.iter().enumerate() {
-            buf[k] = row[p];
+    let mut buf: Vec<Value> = vec![0; cols.len()];
+    for i in 0..r.len() {
+        for (slot, (values, codes)) in buf.iter_mut().zip(&cols) {
+            *slot = values[codes[i] as usize];
         }
         *counts.entry(buf.clone().into_boxed_slice()).or_insert(0) += 1;
     }
@@ -43,9 +46,14 @@ fn assert_equivalent(r: &Relation, attrs: &AttrSet) {
     let columnar = r.group_counts(attrs).expect("grouping succeeds");
     let baseline = group_counts_rowhash(r, attrs);
     assert_eq!(columnar.num_groups(), baseline.len());
-    for (key, count) in columnar.iter() {
+    for (g, &count) in columnar.counts().iter().enumerate() {
+        let key: Vec<Value> = attrs
+            .iter()
+            .zip(columnar.key_codes(g))
+            .map(|(a, &c)| r.domain(a).unwrap()[c as usize])
+            .collect();
         assert_eq!(
-            baseline.get(key).copied().unwrap_or(0),
+            baseline.get(key.as_slice()).copied().unwrap_or(0),
             count,
             "key {key:?}"
         );

@@ -49,7 +49,7 @@ fn bench_join(c: &mut Criterion) {
         let s_raw = random_relation(&mut rng, &[256, 256], n).unwrap();
         let mut s = Relation::new(vec![ajd_relation::AttrId(1), ajd_relation::AttrId(2)]).unwrap();
         for row in s_raw.iter_rows() {
-            s.push_row(row).unwrap();
+            s.push_row(&row).unwrap();
         }
         group.throughput(Throughput::Elements(n));
         group.bench_with_input(BenchmarkId::new("materialised", n), &n, |b, _| {

@@ -59,24 +59,6 @@ pub struct MvdLoss {
     pub domain_sizes: (u64, u64, u64),
 }
 
-/// The probabilistic (Theorem 5.1 / Proposition 5.3) upper bounds, together
-/// with the per-MVD deviation terms and qualifying-condition flags.
-///
-/// Superseded by [`ConfidenceBounds`], which carries the same data in the
-/// estimation tier's [`Estimate`] vocabulary (per-MVD value + ε + δ + bound
-/// in one shape) instead of parallel bare-`f64` vectors.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ProbabilisticBounds {
-    /// Per-MVD deviation `ε*(φᵢ, N, δ/(m−1))` in nats.
-    pub per_mvd_epsilon: Vec<f64>,
-    /// Whether the qualifying condition (37) holds for each support MVD.
-    pub per_mvd_qualified: Vec<bool>,
-    /// The schema-level bounds of Proposition 5.3.
-    pub schema_bound: Prop53Bound,
-    /// The confidence parameter `δ` the caller requested.
-    pub delta: f64,
-}
-
 /// Theorem 5.1 / Proposition 5.3 confidence bounds in the estimation tier's
 /// vocabulary: each support MVD's conditional mutual information is an
 /// [`Estimate`] whose ε is the theorem's deviation `ε*(φᵢ, N, δ/(m−1))` and
@@ -202,22 +184,6 @@ impl LossReport {
             delta,
         })
     }
-
-    /// The same bounds as [`LossReport::confidence_bounds`], in the legacy
-    /// parallel-vector shape.
-    #[deprecated(
-        note = "use LossReport::confidence_bounds, which reports each MVD as an Estimate \
-                (value + ε + δ + bound) instead of parallel bare-f64 vectors"
-    )]
-    pub fn probabilistic_bounds(&self, delta: f64) -> Result<ProbabilisticBounds> {
-        let cb = self.confidence_bounds(delta)?;
-        Ok(ProbabilisticBounds {
-            per_mvd_epsilon: cb.per_mvd.iter().map(|e| e.epsilon).collect(),
-            per_mvd_qualified: cb.per_mvd_qualified,
-            schema_bound: cb.schema_bound,
-            delta,
-        })
-    }
 }
 
 impl fmt::Display for LossReport {
@@ -312,7 +278,7 @@ pub(crate) fn report_for<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Los
     };
 
     let rooted = tree.rooted(0)?;
-    let support = ordered_support(&rooted);
+    let support = ordered_support(&rooted)?;
     let mut per_mvd = Vec::with_capacity(support.len());
     for mvd in support {
         let cmi = mvd_cmi(src, &mvd)?;
@@ -679,29 +645,6 @@ mod tests {
         // The eps-inflated bound dominates the measured log(1+rho)
         // trivially here (eps is huge for tiny N).
         assert!(cb.schema_bound.sum_cmi_bound >= rep.log1p_rho);
-    }
-
-    /// The deprecated parallel-vector shape is derived from
-    /// [`LossReport::confidence_bounds`] and must agree with it exactly.
-    #[test]
-    #[allow(deprecated)]
-    fn probabilistic_bounds_matches_confidence_bounds() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let model = RandomRelationModel::for_mvd(8, 8, 2).unwrap();
-        let r = model.sample(&mut rng, 100).unwrap();
-        let tree = JoinTree::new(vec![bag(&[0, 2]), bag(&[1, 2])], vec![(0, 1)]).unwrap();
-        let rep = Analyzer::new(&r).analyze(&tree).unwrap();
-        let pb = rep.probabilistic_bounds(0.1).unwrap();
-        let cb = rep.confidence_bounds(0.1).unwrap();
-        assert_eq!(pb.per_mvd_epsilon.len(), cb.per_mvd.len());
-        for (e, est) in pb.per_mvd_epsilon.iter().zip(&cb.per_mvd) {
-            assert_eq!(e.to_bits(), est.epsilon.to_bits());
-        }
-        assert_eq!(pb.per_mvd_qualified, cb.per_mvd_qualified);
-        assert_eq!(
-            pb.schema_bound.sum_cmi_bound.to_bits(),
-            cb.schema_bound.sum_cmi_bound.to_bits()
-        );
     }
 
     /// Regression: an out-of-range `delta` used to `assert!` (panicking in

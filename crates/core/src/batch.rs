@@ -230,10 +230,6 @@ impl<S: GroupKernel> GroupSource for BudgetedContext<'_, S> {
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         self.ctx.group_ids_budgeted(attrs, self.budget)
     }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        self.ctx.projection_budgeted(attrs, self.budget)
-    }
 }
 
 #[cfg(test)]

@@ -74,7 +74,7 @@ pub mod engine;
 pub mod estimate;
 pub mod live;
 
-pub use analysis::{Analyzer, ConfidenceBounds, LossReport, MvdLoss, ProbabilisticBounds};
+pub use analysis::{Analyzer, ConfidenceBounds, LossReport, MvdLoss};
 pub use batch::BatchAnalyzer;
 pub use discovery::{DiscoveryConfig, MinedSchema, SchemaMiner};
 pub use engine::LossEngine;

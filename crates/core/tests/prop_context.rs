@@ -115,7 +115,7 @@ proptest! {
     fn cached_mvd_measures_are_bit_identical(r in relation_strategy(4, 3, 40)) {
         let analyzer = Analyzer::new(&r);
         for tree in sweep_trees() {
-            for mvd in support(&tree) {
+            for mvd in support(&tree).unwrap() {
                 prop_assert_eq!(
                     mvd.join_size(&r).unwrap(),
                     analyzer.mvd_join_size(&mvd).unwrap()
@@ -125,7 +125,7 @@ proptest! {
                     analyzer.mvd_loss(&mvd).unwrap().to_bits()
                 );
             }
-            for mvd in ordered_support(&tree.rooted(0).unwrap()) {
+            for mvd in ordered_support(&tree.rooted(0).unwrap()).unwrap() {
                 prop_assert_eq!(
                     mvd.join_size(&r).unwrap(),
                     analyzer.mvd_join_size(&mvd).unwrap()

@@ -7,7 +7,8 @@
 //!    exact [`Analyzer`], with ε = 0 and no seed.
 //! 2. **Determinism**: a fixed `(relation, seed, ε)` yields bit-identical
 //!    estimates across thread budgets, across flat vs sharded storage, and
-//!    across repeated construction.
+//!    across repeated construction; the gathered sample itself equals the
+//!    row-by-row rebuild of the drawn rows at every layout.
 //! 3. **Calibration**: on random-model instances the empirical estimation
 //!    error stays within the planned ε at (well above) the claimed
 //!    confidence, over a seeded, fully deterministic trial loop.
@@ -70,6 +71,32 @@ proptest! {
             prop_assert_eq!(e.epsilon.to_bits(), 0f64.to_bits());
             prop_assert_eq!(e.seed, None);
             prop_assert_eq!(e.total_rows, r.len() as u64);
+        }
+    }
+
+    /// The estimation tier's sampled read is built from codes: for any
+    /// sorted row subset, the flat gather and the gathers of 1/3/7-shard
+    /// layouts give the same schema, dictionaries and code columns as the
+    /// old row-by-row rebuild (`Relation::from_rows` over the decoded rows).
+    #[test]
+    fn gathers_match_the_row_rebuild(
+        r in relation_strategy(3, 6, 60),
+        keep in prop::collection::vec(0u8..2, 60),
+    ) {
+        let picks: Vec<u64> = (0..r.len() as u64).filter(|&i| keep[i as usize] == 1).collect();
+        let rows: Vec<Vec<Value>> = picks.iter().map(|&i| r.row(i as usize)).collect();
+        let reference = Relation::from_rows(r.schema().to_vec(), &rows).unwrap();
+        let mut gathers = vec![r.gather_rows(&picks).unwrap()];
+        for shards in [1usize, 3, 7] {
+            let sharded = r.clone().into_shards(shards).unwrap();
+            gathers.push(sharded.gather_rows(&picks).unwrap());
+        }
+        for g in &gathers {
+            prop_assert_eq!(g.schema(), reference.schema());
+            for &a in reference.schema() {
+                prop_assert_eq!(g.domain(a).unwrap(), reference.domain(a).unwrap());
+                prop_assert_eq!(g.column_codes(a).unwrap(), reference.column_codes(a).unwrap());
+            }
         }
     }
 

@@ -11,31 +11,58 @@
 //! Theorem 3.2 states `J(T) = min_{Q ⊨ T} D_KL(P ‖ Q) = D_KL(P ‖ P^T)`.
 //!
 //! [`TreeFactoredDistribution`] evaluates `P^T` for the empirical
-//! distribution of a relation, and [`kl_divergence_to_tree`] computes
-//! `D_KL(P_R ‖ P_R^T)` directly from counts so that the Theorem 3.2 identity
-//! can be verified numerically (it is also exploited by the analysis crate
-//! as a cross-check on the J-measure computation).
+//! distribution of a relation at each of its rows, and
+//! [`kl_divergence_to_tree`] computes `D_KL(P_R ‖ P_R^T)` from those per-row
+//! values so that the Theorem 3.2 identity can be verified numerically (it
+//! is also exploited by the analysis crate as a cross-check on the
+//! J-measure computation).
 
 use ajd_jointree::JoinTree;
-use ajd_relation::{GroupCounts, GroupSource, RelationError, Result, Value};
+use ajd_relation::{AttrSet, GroupIds, GroupSource, RelationError, Result};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Marginal counts of a relation on the bags and separators of a join tree,
-/// together with the plumbing needed to evaluate `P^T` on tuples.
+/// The bag and separator marginals of a relation along a join tree,
+/// indexed by row: `P^T` evaluated at the tuples of the relation itself.
 ///
-/// The marginals are held as shared [`GroupCounts`] handles, so a
+/// The marginals are held as shared [`GroupIds`] handles — the same bag and
+/// separator groupings the join-size message passing uses — so a
 /// distribution built over a caching [`GroupSource`] (an `AnalysisContext`,
-/// via `ajd_core::Analyzer`) aliases the cache instead of copying counts.
+/// via `ajd_core::Analyzer`) aliases the cache instead of re-grouping, and
+/// evaluating `P^T` at a row is one array lookup per bag and separator.
 #[derive(Debug, Clone)]
 pub struct TreeFactoredDistribution {
     /// Number of tuples of the underlying relation.
     n: u64,
-    /// Per-bag marginal counts and the bag's column positions in the source
-    /// relation's schema.
-    bag_counts: Vec<(Vec<usize>, Arc<GroupCounts>)>,
-    /// Per-separator marginal counts and column positions.
-    sep_counts: Vec<(Vec<usize>, Arc<GroupCounts>)>,
+    /// Per-bag marginals.
+    bags: Vec<Marginal>,
+    /// Per-separator marginals.
+    seps: Vec<Marginal>,
+}
+
+/// One marginal of `P^T`: a grouping and `ln P[Y = y]` of each of its
+/// groups.
+#[derive(Debug, Clone)]
+struct Marginal {
+    ids: Arc<GroupIds>,
+    log_p: Vec<f64>,
+}
+
+impl Marginal {
+    fn new<S: GroupSource>(src: &S, attrs: &AttrSet, n_ln: f64) -> Result<Self> {
+        let ids = src.group_ids(attrs)?;
+        let log_p = ids
+            .counts()
+            .iter()
+            .map(|&c| (c as f64).ln() - n_ln)
+            .collect();
+        Ok(Marginal { ids, log_p })
+    }
+
+    /// `ln P[Y = y]` for the `Y`-projection of row `i`.
+    fn at(&self, i: usize) -> f64 {
+        self.log_p[self.ids.row_ids()[i] as usize]
+    }
 }
 
 /// Summary of a KL-divergence computation between the empirical distribution
@@ -55,8 +82,8 @@ impl TreeFactoredDistribution {
     /// The join tree's attributes must be exactly the relation's attributes
     /// (otherwise `P^T` is a distribution over a different variable set and
     /// the KL-divergence is not defined tuple-wise).  Over a caching
-    /// [`GroupSource`] the bag and separator marginals are the same counts
-    /// the J-measure of the tree needs, so computing both costs one grouping
+    /// [`GroupSource`] the bag and separator groupings are the ones the
+    /// join size of the tree needs, so computing both costs one grouping
     /// pass per attribute set.
     pub fn new<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Self> {
         if src.is_empty() {
@@ -73,23 +100,19 @@ impl TreeFactoredDistribution {
                 ),
             });
         }
-        let mut bag_counts = Vec::with_capacity(tree.num_nodes());
-        for bag in tree.bags() {
-            let pos = src.attr_positions(bag)?;
-            let counts = src.group_counts(bag)?;
-            bag_counts.push((pos, counts));
-        }
-        let mut sep_counts = Vec::with_capacity(tree.num_edges());
-        for e in 0..tree.num_edges() {
-            let sep = tree.separator(e);
-            let pos = src.attr_positions(&sep)?;
-            let counts = src.group_counts(&sep)?;
-            sep_counts.push((pos, counts));
-        }
+        let n_ln = (src.num_rows() as f64).ln();
+        let bags = tree
+            .bags()
+            .iter()
+            .map(|bag| Marginal::new(src, bag, n_ln))
+            .collect::<Result<_>>()?;
+        let seps = (0..tree.num_edges())
+            .map(|e| Marginal::new(src, &tree.separator(e), n_ln))
+            .collect::<Result<_>>()?;
         Ok(TreeFactoredDistribution {
             n: src.num_rows() as u64,
-            bag_counts,
-            sep_counts,
+            bags,
+            seps,
         })
     }
 
@@ -98,72 +121,57 @@ impl TreeFactoredDistribution {
         self.n
     }
 
-    /// Natural logarithm of `P^T(t)` for a tuple given in the **source
-    /// relation's column order**.
+    /// Natural logarithm of `P^T(t)` for the tuple `t` at row `i` of the
+    /// source relation.
     ///
-    /// Returns `f64::NEG_INFINITY` if some bag marginal assigns the tuple
-    /// probability zero (cannot happen for tuples of `R` itself).
-    pub fn log_prob(&self, row: &[Value]) -> f64 {
-        let n_ln = (self.n as f64).ln();
+    /// Always finite: every bag and separator projection of a row of `R`
+    /// occurs in `R`.
+    pub fn log_prob(&self, i: usize) -> f64 {
         let mut acc = 0.0f64;
-        let mut key: Vec<Value> = Vec::new();
-        for (pos, counts) in &self.bag_counts {
-            key.clear();
-            key.extend(pos.iter().map(|&p| row[p]));
-            let c = counts.count_of(&key);
-            if c == 0 {
-                return f64::NEG_INFINITY;
-            }
-            acc += (c as f64).ln() - n_ln;
+        for m in &self.bags {
+            acc += m.at(i);
         }
-        for (pos, counts) in &self.sep_counts {
-            key.clear();
-            key.extend(pos.iter().map(|&p| row[p]));
-            let c = counts.count_of(&key);
-            debug_assert!(c > 0, "separator marginal of a bag-supported tuple");
-            acc -= (c as f64).ln() - n_ln;
+        for m in &self.seps {
+            acc -= m.at(i);
         }
         acc
     }
 
-    /// `P^T(t)` for a tuple in the source relation's column order.
-    pub fn prob(&self, row: &[Value]) -> f64 {
-        self.log_prob(row).exp()
+    /// `P^T(t)` for the tuple `t` at row `i` of the source relation.
+    pub fn prob(&self, i: usize) -> f64 {
+        self.log_prob(i).exp()
     }
 }
 
 /// Computes `D_KL(P_R ‖ P_R^T)` in nats (the right-hand side of
-/// Theorem 3.2), summing over the distinct tuples of `R`.
+/// Theorem 3.2).
 pub fn kl_divergence_to_tree<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<f64> {
     Ok(kl_report(src, tree)?.kl_nats)
 }
 
 /// Like [`kl_divergence_to_tree`], additionally reporting the support size.
 ///
-/// Over a caching [`GroupSource`] the full-relation group counts (also the
-/// `H(Ω)` marginal) and every bag/separator marginal come from the cache.
+/// `D_KL(P ‖ P^T) = Σ_t P(t) ln P(t) − Σ_t P(t) ln P^T(t)`.  The first sum
+/// runs over the distinct tuples (the full-relation group counts, also the
+/// `H(Ω)` marginal); the second equals `(1/N) Σ_rows ln P^T(row)`, so
+/// `P^T` is evaluated at every row through the bag and separator groupings.
+/// This keeps the KL an independent check of Theorem 3.2 rather than a
+/// rearrangement of the J-measure's entropies.
 pub fn kl_report<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<KlReport> {
     let factored = TreeFactoredDistribution::new(src, tree)?;
-    let attrs = src.attrs();
-    let full = src.group_counts(&attrs)?;
+    let full = src.group_counts(&src.attrs())?;
     let n = src.num_rows() as f64;
-    let mut kl = 0.0f64;
-    // The grouped keys are in ascending-attribute order; log_prob expects the
-    // source column order, so reorder via the positions of the grouped attrs.
-    let positions = src.attr_positions(&attrs)?;
-    let mut reordered = vec![0u32; src.arity()];
-    for (key, count) in full.iter() {
-        // `key[i]` is the value of the i-th attribute in ascending order,
-        // which lives at column `positions[i]` of the source relation.
-        for (i, &p) in positions.iter().enumerate() {
-            reordered[p] = key[i];
-        }
-        let p_t = count as f64 / n;
-        let log_q = factored.log_prob(&reordered);
-        kl += p_t * (p_t.ln() - log_q);
+    let mut neg_entropy = 0.0f64;
+    for &c in full.counts() {
+        let p = c as f64 / n;
+        neg_entropy += p * p.ln();
+    }
+    let mut cross = 0.0f64;
+    for i in 0..src.num_rows() {
+        cross += factored.log_prob(i);
     }
     Ok(KlReport {
-        kl_nats: kl,
+        kl_nats: neg_entropy - cross / n,
         support_size: full.num_groups(),
     })
 }
@@ -219,8 +227,8 @@ mod tests {
         let t = JoinTree::new(vec![bag(&[0, 1]), bag(&[0, 2])], vec![(0, 1)]).unwrap();
         let f = TreeFactoredDistribution::new(&r, &t).unwrap();
         let mut total = 0.0;
-        for row in r.iter_rows() {
-            let p = f.prob(row);
+        for i in 0..r.len() {
+            let p = f.prob(i);
             assert!((p - 1.0 / r.len() as f64).abs() < 1e-12);
             total += p;
         }
@@ -311,13 +319,15 @@ mod tests {
     }
 
     #[test]
-    fn log_prob_of_unsupported_tuple_is_neg_infinity() {
+    fn row_probabilities_factor_through_the_marginals() {
+        // Schema {{A},{B}} over the bijection {(0,0),(1,1)}: P^T is the
+        // product of the marginals, 1/2 · 1/2 at every row of R.
         let r = rel(&[0, 1], &[&[0, 0], &[1, 1]]);
         let t = JoinTree::new(vec![bag(&[0]), bag(&[1])], vec![(0, 1)]).unwrap();
         let f = TreeFactoredDistribution::new(&r, &t).unwrap();
-        assert!(f.log_prob(&[5, 5]).is_infinite());
-        // Spurious tuple (0,1) is in the support of P^T even though not in R.
-        assert!(f.log_prob(&[0, 1]).is_finite());
-        assert!((f.prob(&[0, 1]) - 0.25).abs() < 1e-12);
+        for i in 0..r.len() {
+            assert!((f.prob(i) - 0.25).abs() < 1e-12);
+            assert!(f.log_prob(i).is_finite());
+        }
     }
 }

@@ -31,7 +31,7 @@ pub fn entropy<S: GroupSource>(src: &S, attrs: &AttrSet) -> Result<f64> {
 
 /// Entropy (in nats) computed from pre-grouped counts.
 pub fn entropy_from_counts(counts: &GroupCounts) -> f64 {
-    entropy_of_count_values(counts.iter().map(|(_, c)| c), counts.total)
+    entropy_of_count_values(counts.counts().iter().copied(), counts.total)
 }
 
 /// Entropy (in nats) of the full empirical distribution of `r` (i.e. over

@@ -75,7 +75,7 @@ pub fn j_measure_bounds<S: GroupSource>(
     root: usize,
 ) -> Result<JMeasureBounds> {
     let rooted = tree.rooted(root)?;
-    let support = ordered_support(&rooted);
+    let support = ordered_support(&rooted)?;
     let mut max_cmi = 0.0f64;
     let mut sum_cmi = 0.0f64;
     for mvd in &support {

@@ -155,21 +155,14 @@ pub fn loss_acyclic<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<f64> {
 /// produces dangling intermediate tuples).
 ///
 /// Use [`count_acyclic_join`] when only the size is needed; the materialised
-/// join can be exponentially larger than `R`.  Over a caching source the bag
-/// projections come from the projection cache, so materialising the joins of
-/// several trees over one relation re-projects nothing.
-pub fn acyclic_join<S: GroupSource>(src: &S, tree: &JoinTree) -> Result<Relation> {
-    let projections: Vec<_> = tree
-        .bags()
-        .iter()
-        .map(|b| src.projection(b))
-        .collect::<Result<_>>()?;
+/// join can be exponentially larger than `R`.
+pub fn acyclic_join(r: &Relation, tree: &JoinTree) -> Result<Relation> {
     let rooted = tree.rooted(0)?;
     let ordered: Vec<Relation> = rooted
         .order()
         .iter()
-        .map(|&u| (*projections[u]).clone())
-        .collect();
+        .map(|&u| r.project(&tree.bags()[u]))
+        .collect::<Result<_>>()?;
     natural_join_all(&ordered)
 }
 
@@ -327,24 +320,6 @@ mod tests {
             );
         }
         // The sweep above shares all grouping work through the context.
-        assert!(ctx.stats().hits > 0);
-    }
-
-    #[test]
-    fn cached_materialised_join_matches_uncached() {
-        let r = random_like_relation();
-        let ctx = AnalysisContext::new(&r);
-        let trees = [
-            JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3])]).unwrap(),
-            JoinTree::star(vec![bag(&[0, 1]), bag(&[0, 2]), bag(&[0, 3])]).unwrap(),
-        ];
-        for t in &trees {
-            assert!(acyclic_join(&ctx, t)
-                .unwrap()
-                .set_eq(&acyclic_join(&r, t).unwrap()));
-        }
-        // Both trees project the shared relation through the same cache.
-        assert!(ctx.stats().projection_entries > 0);
         assert!(ctx.stats().hits > 0);
     }
 

@@ -154,27 +154,45 @@ impl fmt::Display for Mvd {
 
 /// The support `MVD(T)` of a join tree: one MVD per edge, obtained by
 /// splitting the tree at that edge (`φ_{u,v} = χ(u)∩χ(v) ↠ χ(T_u) | χ(T_v)`).
-pub fn support(tree: &JoinTree) -> Vec<Mvd> {
+///
+/// Errors with [`RelationError::SchemaMismatch`] when an edge split leaves
+/// one side with no attribute outside the separator — a tree with a bag
+/// contained in its neighbour (e.g. `{x0,x1,x2}`–`{x0,x1}`), whose support
+/// MVD would be trivial.
+pub fn support(tree: &JoinTree) -> Result<Vec<Mvd>> {
     (0..tree.num_edges())
         .map(|e| {
-            let sep = tree.separator(e);
             let (left, right) = tree.edge_split(e);
-            Mvd::new(sep, left, right)
-                .expect("edge split of a valid join tree yields a non-trivial MVD")
+            support_mvd(tree.separator(e), left, right)
         })
         .collect()
 }
 
+/// The support MVD `lhs ↠ left | right`, or a schema error naming the
+/// contained bag that makes it trivial.
+fn support_mvd(lhs: AttrSet, left: AttrSet, right: AttrSet) -> Result<Mvd> {
+    Mvd::new(lhs.clone(), left, right).map_err(|_| RelationError::SchemaMismatch {
+        detail: format!(
+            "the support MVD on separator {lhs} is trivial: the schema has a bag \
+             contained in another (remove contained bags first)"
+        ),
+    })
+}
+
 /// The *ordered* support of a rooted join tree (eq. 9): for each DFS position
 /// `i ∈ [2, m]` the MVD `Δᵢ ↠ Ω_{1:i-1} | Ω_{i:m}`.
-pub fn ordered_support(rooted: &RootedTree) -> Vec<Mvd> {
+///
+/// Errors with [`RelationError::SchemaMismatch`] when some MVD is trivial
+/// (`Ω_{i:m} ⊆ Δᵢ` or `Ω_{1:i-1} ⊆ Δᵢ`), as for a schema with a bag
+/// contained in another.
+pub fn ordered_support(rooted: &RootedTree) -> Result<Vec<Mvd>> {
     (2..=rooted.num_nodes())
         .map(|i| {
-            let delta = rooted.delta(i);
-            let left = rooted.prefix_union(i - 1);
-            let right = rooted.suffix_union(i);
-            Mvd::new(delta, left, right)
-                .expect("ordered support of a valid rooted join tree is non-trivial")
+            support_mvd(
+                rooted.delta(i),
+                rooted.prefix_union(i - 1),
+                rooted.suffix_union(i),
+            )
         })
         .collect()
 }
@@ -283,7 +301,7 @@ mod tests {
     #[test]
     fn support_has_one_mvd_per_edge() {
         let t = JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3])]).unwrap();
-        let s = support(&t);
+        let s = support(&t).unwrap();
         assert_eq!(s.len(), 2);
         // Edge {01}-{12}: separator {1}, split {0,1} vs {1,2,3}.
         assert!(s.iter().any(|m| m.lhs == bag(&[1])
@@ -296,7 +314,7 @@ mod tests {
     fn ordered_support_matches_paper_indexing() {
         let t = JoinTree::path(vec![bag(&[0, 1]), bag(&[1, 2]), bag(&[2, 3])]).unwrap();
         let r = t.rooted(0).unwrap();
-        let s = ordered_support(&r);
+        let s = ordered_support(&r).unwrap();
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].lhs, bag(&[1]));
         assert_eq!(s[0].left, bag(&[0, 1]));
@@ -316,9 +334,25 @@ mod tests {
         ])
         .unwrap();
         let r = t.rooted(0).unwrap();
-        for m in ordered_support(&r) {
+        for m in ordered_support(&r).unwrap() {
             assert_eq!(m.attributes(), t.attributes());
         }
+    }
+
+    /// A schema with a bag contained in its neighbour has a trivial support
+    /// MVD: both supports report it as an error instead of panicking.
+    #[test]
+    fn contained_bag_support_is_an_error_not_a_panic() {
+        let t = JoinTree::new(vec![bag(&[0, 1, 2]), bag(&[0, 1])], vec![(0, 1)]).unwrap();
+        let rooted = t.rooted(0).unwrap();
+        assert!(matches!(
+            ordered_support(&rooted),
+            Err(RelationError::SchemaMismatch { .. })
+        ));
+        assert!(matches!(
+            support(&t),
+            Err(RelationError::SchemaMismatch { .. })
+        ));
     }
 
     #[test]

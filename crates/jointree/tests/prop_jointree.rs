@@ -76,13 +76,13 @@ proptest! {
     #[test]
     fn support_structure(bags in tree_edge_schema(6)) {
         let tree = JoinTree::from_acyclic_schema(&bags).unwrap();
-        for mvd in support(&tree) {
+        for mvd in support(&tree).unwrap() {
             prop_assert_eq!(mvd.attributes(), tree.attributes());
             prop_assert_eq!(mvd.left.intersection(&mvd.right), mvd.lhs.clone());
         }
         for root in 0..tree.num_nodes() {
             let rooted = tree.rooted(root).unwrap();
-            let ord = ordered_support(&rooted);
+            let ord = ordered_support(&rooted).unwrap();
             prop_assert_eq!(ord.len(), tree.num_nodes() - 1);
             for mvd in ord {
                 prop_assert_eq!(mvd.attributes(), tree.attributes());

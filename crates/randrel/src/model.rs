@@ -144,7 +144,7 @@ mod tests {
             .group_counts(&ajd_relation::AttrSet::singleton(AttrId(0)))
             .unwrap();
         assert_eq!(counts.num_groups(), d as usize);
-        for (_, c) in counts.iter() {
+        for &c in counts.counts() {
             // Hypergeometric concentration: extremely unlikely to deviate by
             // more than half the mean for these sizes.
             assert!(c as f64 > d as f64 / 4.0);

@@ -107,7 +107,7 @@ impl PlantedTreeRelation {
         let mut present: FxHashSet<u64> = ajd_relation::hash::set_with_capacity(closure_size);
         let mut tuples: Vec<Vec<Value>> = Vec::with_capacity(closure_size);
         for row in closure.iter_rows() {
-            present.insert(domain.encode(row)?);
+            present.insert(domain.encode(&row)?);
             tuples.push(row.to_vec());
         }
         let perturbed = ((closure_size as f64) * self.noise).round() as usize;

@@ -3,26 +3,26 @@
 //! Every information measure in the paper (the entropies of eq. 4, the
 //! J-measure of eq. 7, the KL-divergence of Theorem 3.2, the per-MVD
 //! conditional mutual informations and losses of eq. 28) reduces to *group
-//! counts* of the same relation `R` on various attribute subsets `Y ⊆ Ω`,
-//! and every loss computation reduces to *projections* of `R` onto bags.
-//! Evaluating many measures — or many candidate join trees, as schema
-//! discovery does — therefore recomputes the same groupings over and over.
+//! counts* or *interned group ids* of the same relation `R` on various
+//! attribute subsets `Y ⊆ Ω`.  Evaluating many measures — or many
+//! candidate join trees, as schema discovery does — therefore recomputes
+//! the same groupings over and over.
 //!
 //! Two pieces live here:
 //!
 //! * [`GroupSource`] — the capability every measure in the workspace is
-//!   written against: "give me group counts / interned group ids / a
-//!   projection for this attribute set".  A plain [`Relation`] implements it
-//!   by computing fresh (the one-shot path); an [`AnalysisContext`]
+//!   written against: "give me group counts / interned group ids for this
+//!   attribute set".  A plain [`Relation`] implements it by computing
+//!   fresh (the one-shot path); an [`AnalysisContext`]
 //!   implements it by memoizing (the shared path).  Because both
 //!   implementations call the *same* columnar kernel, a measure computed
 //!   through a context is **bit-identical** to its uncached counterpart — a
 //!   property the workspace's tests assert.
 //! * [`AnalysisContext`] — the memoization layer, in the spirit of the
 //!   lattice-level entropy caching of Kenig et al. (*Mining Approximate
-//!   Acyclic Schemes from Relations*, 2019): caches of [`GroupCounts`],
-//!   interned [`GroupIds`] and set-semantic projections keyed by
-//!   [`AttrSet`], **striped** across several `RwLock`-guarded shards (so
+//!   Acyclic Schemes from Relations*, 2019): exactly two caches — of
+//!   [`GroupCounts`] and of interned [`GroupIds`] — keyed by [`AttrSet`],
+//!   **striped** across several `RwLock`-guarded shards (so
 //!   writes on unrelated attribute sets do not contend) with **per-key
 //!   single-flight** misses: when several threads race on the same cold
 //!   `AttrSet`, exactly one computes the grouping and the rest block on
@@ -74,9 +74,6 @@ pub trait GroupSource {
     /// Interned group keys for `attrs` (see [`GroupIds`]).
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>>;
 
-    /// Set-semantic projection `Π_attrs(R)`.
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>>;
-
     /// The attribute set of the source (schema as a set).
     fn attrs(&self) -> AttrSet {
         AttrSet::from_slice(self.schema())
@@ -117,26 +114,27 @@ pub trait GroupSource {
 /// to the serial flat kernel at any budget, so a context over either layout
 /// serves the same values.
 pub trait GroupKernel: GroupSource + Sync {
-    /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`].
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts>;
-
     /// [`GroupSource::group_ids`] computed under a [`ThreadBudget`].
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds>;
 
-    /// [`GroupSource::projection`] computed under a [`ThreadBudget`].
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation>;
+    /// [`GroupSource::group_counts`] computed under a [`ThreadBudget`]: the
+    /// grouping of [`GroupKernel::group_ids_with`] without its per-row ids.
+    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
+        self.group_ids_with(attrs, budget).map(GroupCounts::from)
+    }
 
     /// Materialises the rows at the given **sorted, strictly increasing**
     /// global row indices as a fresh flat [`Relation`].
     ///
     /// This is the estimation tier's sampled-read kernel: a seeded
     /// without-replacement index draw is sorted ascending and gathered here.
-    /// Because the result is rebuilt from *decoded* values in global row
-    /// order, its dictionaries follow first-appearance order of the sampled
-    /// rows alone — the same `(source rows, indices)` therefore yields a
-    /// bit-identical sample relation from a flat [`Relation`] and from any
-    /// sharding of it (the same argument as
-    /// [`crate::ShardedRelation::collect`]).
+    /// The result is built from codes in global row order, each column
+    /// renumbered in first-appearance order of the sampled rows against
+    /// dictionaries that agree on every value, so its dictionaries follow
+    /// first-appearance order of the sampled rows alone — the same
+    /// `(source rows, indices)` therefore yields a bit-identical sample
+    /// relation from a flat [`Relation`] and from any sharding of it (the
+    /// same argument as [`crate::ShardedRelation::collect`]).
     ///
     /// Errors with [`crate::RelationError::InvalidParameter`] if the indices
     /// are out of range, unsorted, or contain duplicates.
@@ -172,23 +170,11 @@ impl GroupSource for Relation {
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         Relation::group_ids(self, attrs).map(Arc::new)
     }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        Relation::project(self, attrs).map(Arc::new)
-    }
 }
 
 impl GroupKernel for Relation {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        Relation::group_counts_with(self, attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         Relation::group_ids_with(self, attrs, budget)
-    }
-
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        Relation::project_with(self, attrs, budget)
     }
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
@@ -220,23 +206,11 @@ impl<S: GroupSource + ?Sized> GroupSource for &S {
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         (**self).group_ids(attrs)
     }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        (**self).projection(attrs)
-    }
 }
 
 impl<S: GroupKernel + ?Sized> GroupKernel for &S {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        (**self).group_counts_with(attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         (**self).group_ids_with(attrs, budget)
-    }
-
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        (**self).project_with(attrs, budget)
     }
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
@@ -268,23 +242,11 @@ impl<S: GroupSource + ?Sized> GroupSource for Arc<S> {
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         (**self).group_ids(attrs)
     }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        (**self).projection(attrs)
-    }
 }
 
 impl<S: GroupKernel + Send + ?Sized> GroupKernel for Arc<S> {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        (**self).group_counts_with(attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         (**self).group_ids_with(attrs, budget)
-    }
-
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        (**self).project_with(attrs, budget)
     }
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
@@ -307,8 +269,6 @@ pub struct CacheStats {
     pub group_count_entries: usize,
     /// Number of memoized [`GroupIds`] entries.
     pub group_id_entries: usize,
-    /// Number of memoized projection entries.
-    pub projection_entries: usize,
 }
 
 impl CacheStats {
@@ -369,8 +329,7 @@ impl<T> StripedCache<T> {
     }
 }
 
-/// Memoized group counts, interned group ids and projections of one
-/// relation — the shared-computation substrate of the measurement stack.
+/// Memoized group counts and interned group ids of one relation — the shared-computation substrate of the measurement stack.
 ///
 /// A context **owns** its source, which in practice is a cheap handle: a
 /// `&Relation` borrow for one-shot analysis, or an `Arc<ShardedRelation>`
@@ -412,7 +371,6 @@ pub struct AnalysisContext<S = Relation> {
     source: S,
     group_counts: StripedCache<GroupCounts>,
     group_ids: StripedCache<GroupIds>,
-    projections: StripedCache<Relation>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Thread budget for computing misses, as a raw count (atomic so a
@@ -439,7 +397,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
             source: src,
             group_counts: StripedCache::new(),
             group_ids: StripedCache::new(),
-            projections: StripedCache::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             threads: AtomicUsize::new(budget.get()),
@@ -502,23 +459,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
         })
     }
 
-    /// Memoized set-semantic projection `Π_attrs(R)`.
-    pub fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        self.projection_budgeted(attrs, self.thread_budget())
-    }
-
-    /// [`AnalysisContext::projection`] with an explicit per-call kernel
-    /// budget (see [`AnalysisContext::group_counts_budgeted`]).
-    pub fn projection_budgeted(
-        &self,
-        attrs: &AttrSet,
-        budget: ThreadBudget,
-    ) -> Result<Arc<Relation>> {
-        self.memoized(&self.projections, attrs, |r, a| {
-            r.project_with(a, budget).map(Arc::new)
-        })
-    }
-
     /// Snapshot of cache sizes and hit/miss counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -526,7 +466,6 @@ impl<S: GroupKernel> AnalysisContext<S> {
             misses: self.misses.load(Ordering::Relaxed),
             group_count_entries: self.group_counts.entries(),
             group_id_entries: self.group_ids.entries(),
-            projection_entries: self.projections.entries(),
         }
     }
 
@@ -652,17 +591,12 @@ impl<S: GroupKernel> GroupSource for AnalysisContext<S> {
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         AnalysisContext::group_ids(self, attrs)
     }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        AnalysisContext::projection(self, attrs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attr::AttrId;
-    use crate::relation::Value;
 
     fn sample() -> Relation {
         Relation::from_rows(
@@ -690,9 +624,9 @@ mod tests {
             let cached = ctx.group_counts(&attrs).unwrap();
             let direct = r.group_counts(&attrs).unwrap();
             assert_eq!(cached.total, direct.total);
-            assert_eq!(cached.num_groups(), direct.num_groups());
-            for (key, count) in direct.iter() {
-                assert_eq!(cached.count_of(key), count);
+            assert_eq!(cached.counts(), direct.counts());
+            for g in 0..direct.num_groups() {
+                assert_eq!(cached.key_codes(g), direct.key_codes(g));
             }
         }
     }
@@ -708,11 +642,10 @@ mod tests {
             assert_eq!(ids.total() as u128, counts.total);
             assert_eq!(ids.row_ids().len(), r.len());
             assert_eq!(ids.counts().iter().sum::<u64>(), r.len() as u64);
-            // Rows with equal projections share an id; the id's count matches.
-            for (row, &id) in r.iter_rows().zip(ids.row_ids()) {
-                let positions = r.attr_positions(&attrs).unwrap();
-                let key: Vec<Value> = positions.iter().map(|&p| row[p]).collect();
-                assert_eq!(ids.counts()[id as usize], counts.count_of(&key));
+            // Same groups, same first-appearance order, same counts.
+            assert_eq!(ids.counts(), counts.counts());
+            for g in 0..ids.num_groups() {
+                assert_eq!(ids.group_code(g), counts.key_codes(g));
             }
         }
     }
@@ -731,17 +664,6 @@ mod tests {
                 assert_eq!(map[f as usize], c);
             }
         }
-    }
-
-    #[test]
-    fn projections_match_uncached() {
-        let r = sample();
-        let ctx = AnalysisContext::new(&r);
-        let attrs = bag(&[0, 1]);
-        let cached = ctx.projection(&attrs).unwrap();
-        let direct = r.project(&attrs).unwrap();
-        assert!(cached.set_eq(&direct));
-        assert_eq!(cached.len(), direct.len());
     }
 
     #[test]
@@ -764,7 +686,6 @@ mod tests {
         let ctx = AnalysisContext::new(&r);
         assert!(ctx.group_counts(&bag(&[9])).is_err());
         assert!(ctx.group_ids(&bag(&[9])).is_err());
-        assert!(ctx.projection(&bag(&[9])).is_err());
         assert_eq!(ctx.stats().group_count_entries, 0);
     }
 
@@ -862,9 +783,9 @@ mod tests {
         assert_eq!(stats.group_count_entries, sets.len());
     }
 
-    /// The single-flight guarantee holds per cache: group counts, group ids
-    /// and projections each compute once per distinct set under the same
-    /// 8-thread hammering.
+    /// The single-flight guarantee holds per cache: group counts and group
+    /// ids each compute once per distinct set under the same 8-thread
+    /// hammering.
     #[test]
     fn cold_context_races_single_flight_across_all_caches() {
         let r = stress_relation();
@@ -878,16 +799,14 @@ mod tests {
                     for attrs in &sets {
                         ctx.group_counts(attrs).unwrap();
                         ctx.group_ids(attrs).unwrap();
-                        ctx.projection(attrs).unwrap();
                     }
                 });
             }
         });
         let stats = ctx.stats();
-        assert_eq!(stats.misses, 3 * sets.len() as u64);
+        assert_eq!(stats.misses, 2 * sets.len() as u64);
         assert_eq!(stats.group_count_entries, sets.len());
         assert_eq!(stats.group_id_entries, sets.len());
-        assert_eq!(stats.projection_entries, sets.len());
     }
 
     /// Racing threads on one cold set all receive the *same* `Arc` (the
@@ -958,6 +877,6 @@ mod tests {
         let ids = ctx.group_ids(&bag(&[0])).unwrap();
         assert_eq!(ids.num_groups(), 0);
         assert_eq!(ids.total(), 0);
-        assert_eq!(ctx.projection(&bag(&[0])).unwrap().len(), 0);
+        assert_eq!(ctx.group_counts(&bag(&[0])).unwrap().num_groups(), 0);
     }
 }

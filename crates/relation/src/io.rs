@@ -439,7 +439,7 @@ pub fn write_delimited(catalog: &Catalog, relation: &Relation, delimiter: char) 
         .collect::<Result<_>>()?;
     let _ = writeln!(out, "{}", names.join(&delimiter.to_string()));
     for row in relation.iter_rows() {
-        let _ = writeln!(out, "{}", render_row(catalog, relation, row, delimiter));
+        let _ = writeln!(out, "{}", render_row(catalog, relation, &row, delimiter));
     }
     Ok(out)
 }
@@ -464,7 +464,7 @@ pub fn write_delimited_to<P: AsRef<Path>>(
         .collect::<Result<_>>()?;
     writeln!(writer, "{}", names.join(&delimiter.to_string())).map_err(|e| io_error(path, e))?;
     for row in relation.iter_rows() {
-        writeln!(writer, "{}", render_row(catalog, relation, row, delimiter))
+        writeln!(writer, "{}", render_row(catalog, relation, &row, delimiter))
             .map_err(|e| io_error(path, e))?;
     }
     writer.flush().map_err(|e| io_error(path, e))

@@ -15,12 +15,13 @@
 //!   label dictionaries for ingesting labelled data.
 //! * [`Relation`] — a **columnar, dictionary-encoded** relation store: each
 //!   attribute owns a per-column dictionary (raw value → dense `u32` code)
-//!   and a flat code column, while a row-major decoded mirror keeps the
-//!   familiar tuple API.  Projection, grouping, deduplication and joins all
-//!   run on the integer codes (dense mixed-radix counting or packed-`u64`
-//!   hashing — never a heap-allocated key per row).
-//! * [`GroupCounts`] / [`GroupIds`] — the two views of a grouping: decoded
-//!   multiplicity tables and dense interned ids with per-row labels.
+//!   and a flat code column, the only in-memory form of a cell.  Raw values
+//!   are decoded only at the edges (`row`, `iter_rows`, `domain`, the
+//!   delimited writer).  Projection, grouping, deduplication, selection,
+//!   gathers and joins all run on the integer codes (dense mixed-radix
+//!   counting or packed-`u64` hashing — never a heap-allocated key per row).
+//! * [`GroupCounts`] / [`GroupIds`] — the two views of a grouping: per-group
+//!   counts and code tuples, and the same plus a group id per row.
 //! * [`join`] — natural joins, semijoins and join-size counting over
 //!   remapped dictionary codes.
 //! * [`GroupSource`] — the capability trait the measure stack is generic
@@ -97,7 +98,7 @@ pub use io::{
     write_delimited_to, ReadOptions, ShardPolicy,
 };
 pub use parallel::ThreadBudget;
-pub use relation::{GroupCounts, GroupIds, Relation, RowIter, Value};
+pub use relation::{GroupCounts, GroupIds, Relation, Value};
 pub use shard::{RelationShard, ShardCacheStats, ShardedRelation};
 pub use sketch::KmvSketch;
 pub use snapshot::ShardedStore;

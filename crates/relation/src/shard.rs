@@ -24,8 +24,8 @@
 //!   [`Relation::group_ids_with`] kernel, fanned out over the
 //!   [`ThreadBudget`]) and the per-shard group tables are merged in shard
 //!   order through the exact same `merge_spans` discipline the chunked
-//!   kernel uses — so [`ShardedRelation::group_ids`] /
-//!   [`ShardedRelation::group_counts`] are **bit-identical** to the flat
+//!   kernel uses — so [`ShardedRelation::group_ids`] (and every count
+//!   derived from it) is **bit-identical** to the flat
 //!   [`Relation`] at any shard count and any thread budget (property-tested
 //!   in `tests/prop_sharded.rs`).
 //!
@@ -59,7 +59,9 @@ use crate::context::{GroupKernel, GroupSource};
 use crate::error::{RelationError, Result};
 use crate::hash::FxHashMap;
 use crate::parallel::{chunk_bounds, ThreadBudget, MAX_CHUNK_WORKERS};
-use crate::relation::{bit_width, merge_spans, GroupCounts, GroupIds, Relation, SpanGroups, Value};
+use crate::relation::{
+    bit_width, merge_spans, Column, GroupCounts, GroupIds, Relation, SpanGroups, Value,
+};
 use crate::sketch::KmvSketch;
 use ajd_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use ajd_sync::{OnceSlot, RwLock};
@@ -402,17 +404,44 @@ impl ShardedRelation {
 
     /// Concatenates all shards back into one flat [`Relation`].
     ///
-    /// Rows are pushed in shard order, so the result's dictionaries, code
-    /// columns and row order are exactly those of the flat relation the
-    /// shards were split from (or would have been built as).
+    /// Built from codes through the global dictionaries, so the result's
+    /// dictionaries, code columns and row order are exactly those of the
+    /// flat relation the shards were split from (or would have been built
+    /// as).
     pub fn collect(&self) -> Result<Relation> {
-        let mut out = Relation::with_capacity(self.schema.clone(), self.rows)?;
-        for shard in &self.shards {
-            for row in shard.local.iter_rows() {
-                out.push_row(row)?;
+        Ok(self.pick(&self.locate(0..self.rows)))
+    }
+
+    /// `(shard, local row)` of each global row of `sorted_rows` (ascending).
+    fn locate(&self, sorted_rows: impl Iterator<Item = usize>) -> Vec<(usize, usize)> {
+        let mut out = Vec::with_capacity(sorted_rows.size_hint().0);
+        let (mut s, mut offset) = (0usize, 0usize);
+        for i in sorted_rows {
+            while i >= offset + self.shards[s].len() {
+                offset += self.shards[s].len();
+                s += 1;
             }
+            out.push((s, i - offset));
         }
-        Ok(out)
+        out
+    }
+
+    /// The code-level row-subset builder over shards: the flat relation
+    /// holding `picks` (`(shard, local row)` pairs, in order), each column's
+    /// global codes renumbered in first-appearance order of the picked rows
+    /// — the same relation [`Relation::from_rows`] would build from the
+    /// decoded rows, without decoding any.
+    fn pick(&self, picks: &[(usize, usize)]) -> Relation {
+        let columns = (0..self.arity())
+            .map(|p| {
+                let codes = picks.iter().map(|&(s, i)| {
+                    let shard = &self.shards[s];
+                    shard.remap[p][shard.local.code(p, i) as usize]
+                });
+                Column::from_source_codes(&self.dicts[p].values, picks.len(), codes)
+            })
+            .collect();
+        Relation::from_columns(self.schema.clone(), columns, picks.len())
     }
 
     // ------------------------------------------------------------------
@@ -641,71 +670,9 @@ impl ShardedRelation {
             .collect()
     }
 
-    /// Groups by `attrs` and decodes the distinct groups through the global
-    /// dictionaries; bit-identical to [`Relation::group_counts`] on the
-    /// collected flat relation.
-    pub fn group_counts(&self, attrs: &AttrSet) -> Result<GroupCounts> {
-        self.group_counts_with(attrs, ThreadBudget::serial())
-    }
-
-    /// [`ShardedRelation::group_counts`] under a [`ThreadBudget`] (see
-    /// [`ShardedRelation::group_ids_with`]).
-    pub fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        let ids = self.group_ids_with(attrs, budget)?;
-        Ok(self.decode_group_counts(&ids))
-    }
-
-    /// Decodes a [`GroupIds`] of this sharded relation into a
-    /// [`GroupCounts`] through the global dictionaries.
-    pub fn decode_group_counts(&self, ids: &GroupIds) -> GroupCounts {
-        let positions = self
-            .attr_positions(ids.attrs())
-            .expect("grouping was built from this relation's attributes");
-        let arity = positions.len();
-        let groups = ids.num_groups();
-        let mut keys: Vec<Value> = Vec::with_capacity(groups * arity);
-        for g in 0..groups {
-            for (j, &p) in positions.iter().enumerate() {
-                let code = ids.group_codes()[g * arity + j];
-                keys.push(self.dicts[p].values[code as usize]);
-            }
-        }
-        GroupCounts::from_parts(
-            ids.attrs().clone(),
-            self.rows as u128,
-            keys,
-            ids.group_codes().to_vec(),
-            ids.counts().to_vec(),
-        )
-    }
-
     // ------------------------------------------------------------------
-    // Set semantics / projection
+    // Set semantics / row subsets
     // ------------------------------------------------------------------
-
-    /// Projection `Π_Y(R)` with set semantics, as a flat [`Relation`]
-    /// (distinct projections are almost always far smaller than the
-    /// input); bit-identical to [`Relation::project`] on the collected
-    /// flat relation.
-    pub fn project(&self, attrs: &AttrSet) -> Result<Relation> {
-        self.project_with(attrs, ThreadBudget::serial())
-    }
-
-    /// [`ShardedRelation::project`] under a [`ThreadBudget`].
-    pub fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        let positions = self.attr_positions(attrs)?;
-        let ids = self.group_ids_with(attrs, budget)?;
-        let arity = positions.len();
-        let mut out = Relation::with_capacity(attrs.as_slice().to_vec(), ids.num_groups())?;
-        let mut buf: Vec<Value> = vec![0; arity];
-        for g in 0..ids.num_groups() {
-            for (j, &p) in positions.iter().enumerate() {
-                buf[j] = self.dicts[p].values[ids.group_codes()[g * arity + j] as usize];
-            }
-            out.push_row(&buf)?;
-        }
-        Ok(out)
-    }
 
     /// `true` if the concatenated tuples are pairwise distinct.
     pub fn is_set(&self) -> bool {
@@ -720,57 +687,21 @@ impl ShardedRelation {
     /// relation's schema order) — row-for-row identical to
     /// [`Relation::distinct`] on the collected flat relation.
     pub fn distinct(&self) -> Relation {
-        let attrs = self.attrs();
         let ids = self
-            .group_ids(&attrs)
+            .group_ids(&self.attrs())
             .expect("own attributes are always present");
-        // Group codes are in ascending-attribute order; `order[p]` is the
-        // index within that order of the attribute at schema position `p`.
-        let order: Vec<usize> = self
-            .schema
-            .iter()
-            .map(|&a| {
-                attrs
-                    .as_slice()
-                    .iter()
-                    .position(|&b| b == a)
-                    .expect("own schema is covered by own attribute set")
-            })
-            .collect();
-        let arity = self.arity();
-        let mut out = Relation::with_capacity(self.schema.clone(), ids.num_groups())
-            .expect("own schema is duplicate-free");
-        let mut buf: Vec<Value> = vec![0; arity];
-        for g in 0..ids.num_groups() {
-            let codes = ids.group_code(g);
-            for (p, slot) in buf.iter_mut().enumerate() {
-                *slot = self.dicts[p].values[codes[order[p]] as usize];
-            }
-            out.push_row(&buf)
-                .expect("decoded group rows keep the relation's arity");
-        }
-        out
+        self.pick(&self.locate(ids.first_rows().into_iter()))
     }
 
     /// Materialises the rows at the given **sorted, strictly increasing**
     /// global row indices as a fresh flat [`Relation`] — bit-identical to
     /// [`Relation::gather_rows`] on the collected flat relation, because
-    /// both rebuild from decoded values in global row order (see
+    /// both renumber codes in first-appearance order of the gathered rows
+    /// against dictionaries that agree on every value (see
     /// [`crate::GroupKernel::gather_rows`]).
     pub fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
         crate::relation::validate_gather_indices(sorted_rows, self.rows as u64)?;
-        let mut out = Relation::with_capacity(self.schema.clone(), sorted_rows.len())?;
-        let mut cursor = 0usize;
-        let mut offset = 0u64;
-        for shard in &self.shards {
-            let end = offset + shard.local.len() as u64;
-            while cursor < sorted_rows.len() && sorted_rows[cursor] < end {
-                out.push_row(shard.local.row((sorted_rows[cursor] - offset) as usize))?;
-                cursor += 1;
-            }
-            offset = end;
-        }
-        Ok(out)
+        Ok(self.pick(&self.locate(sorted_rows.iter().map(|&i| i as usize))))
     }
 
     /// Streams the `attrs`-projection of every shard through a seeded
@@ -802,14 +733,9 @@ impl Relation {
     /// exactly, and every grouping over the shards is bit-identical to
     /// grouping this relation directly.
     pub fn into_shards(self, n: usize) -> Result<ShardedRelation> {
-        let schema = self.schema().to_vec();
-        let mut out = ShardedRelation::new(schema.clone())?;
+        let mut out = ShardedRelation::new(self.schema().to_vec())?;
         for (start, end) in chunk_bounds(self.len(), n.max(1)) {
-            let mut shard = Relation::with_capacity(schema.clone(), end - start)?;
-            for i in start..end {
-                shard.push_row(self.row(i))?;
-            }
-            out.append_shard(shard)?;
+            out.append_shard(self.pick(&self.all_positions(), start..end))?;
         }
         Ok(out)
     }
@@ -829,29 +755,17 @@ impl GroupSource for ShardedRelation {
     }
 
     fn group_counts(&self, attrs: &AttrSet) -> Result<Arc<GroupCounts>> {
-        ShardedRelation::group_counts(self, attrs).map(Arc::new)
+        ShardedRelation::group_ids(self, attrs).map(|ids| Arc::new(ids.into()))
     }
 
     fn group_ids(&self, attrs: &AttrSet) -> Result<Arc<GroupIds>> {
         ShardedRelation::group_ids(self, attrs).map(Arc::new)
     }
-
-    fn projection(&self, attrs: &AttrSet) -> Result<Arc<Relation>> {
-        ShardedRelation::project(self, attrs).map(Arc::new)
-    }
 }
 
 impl GroupKernel for ShardedRelation {
-    fn group_counts_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupCounts> {
-        ShardedRelation::group_counts_with(self, attrs, budget)
-    }
-
     fn group_ids_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<GroupIds> {
         ShardedRelation::group_ids_with(self, attrs, budget)
-    }
-
-    fn project_with(&self, attrs: &AttrSet, budget: ThreadBudget) -> Result<Relation> {
-        ShardedRelation::project_with(self, attrs, budget)
     }
 
     fn gather_rows(&self, sorted_rows: &[u64]) -> Result<Relation> {
@@ -963,11 +877,10 @@ mod tests {
                     assert_ids_eq(&a, &c, &format!("uncached n={n} attrs={attrs}"));
                 }
                 let ca = flat.group_counts(&attrs).unwrap();
-                let cb = sharded.group_counts(&attrs).unwrap();
+                let cb = GroupSource::group_counts(&sharded, &attrs).unwrap();
                 assert_eq!(ca.total, cb.total);
                 assert_eq!(ca.counts(), cb.counts());
                 for g in 0..ca.num_groups() {
-                    assert_eq!(ca.key(g), cb.key(g));
                     assert_eq!(ca.key_codes(g), cb.key_codes(g));
                 }
             }
@@ -975,16 +888,9 @@ mod tests {
     }
 
     #[test]
-    fn projection_and_distinct_match_flat() {
+    fn distinct_matches_flat() {
         let flat = sample();
         let sharded = flat.clone().into_shards(2).unwrap();
-        let attrs = bag(&[0, 1]);
-        let pa = flat.project(&attrs).unwrap();
-        let pb = sharded.project(&attrs).unwrap();
-        assert_eq!(pa.len(), pb.len());
-        for (a, b) in pa.iter_rows().zip(pb.iter_rows()) {
-            assert_eq!(a, b);
-        }
         let da = flat.distinct();
         let db = sharded.distinct();
         assert_eq!(da.len(), db.len());
@@ -1096,7 +1002,7 @@ mod tests {
         .unwrap();
         let mut grown_flat = flat.clone();
         for row in batch.iter_rows() {
-            grown_flat.push_row(row).unwrap();
+            grown_flat.push_row(&row).unwrap();
         }
         sharded.append_shard(batch).unwrap();
         for attrs in &sets {
@@ -1229,7 +1135,7 @@ mod tests {
         assert!(sharded.is_set());
         let ids = sharded.group_ids(&bag(&[0])).unwrap();
         assert_eq!(ids.num_groups(), 0);
-        assert_eq!(sharded.project(&bag(&[0])).unwrap().len(), 0);
+        assert_eq!(sharded.distinct().len(), 0);
         assert_eq!(sharded.collect().unwrap().len(), 0);
         // An empty relation still shards (into empty shards).
         let empty = Relation::new(vec![AttrId(0)])
@@ -1270,8 +1176,7 @@ mod tests {
     fn unknown_attribute_errors() {
         let sharded = sample().into_shards(2).unwrap();
         assert!(sharded.group_ids(&bag(&[9])).is_err());
-        assert!(sharded.group_counts(&bag(&[9])).is_err());
-        assert!(sharded.project(&bag(&[9])).is_err());
+        assert!(GroupSource::group_counts(&sharded, &bag(&[9])).is_err());
         // Failed lookups leave no cache entries behind.
         assert_eq!(sharded.shard_cache_stats(), ShardCacheStats::default());
     }

@@ -3,11 +3,15 @@
 //! The dictionary-encoded columnar `Relation` must be indistinguishable
 //! from a naive row store: every operation the measurement stack relies on
 //! (`group_counts`, `project`, `project_multiset`, `distinct`,
-//! `canonicalize`, `group_ids`) is compared bit-for-bit against a reference
-//! implementation written here directly over `iter_rows()` — the seed's
-//! row-hashing semantics — on random multiset relations, including raw
-//! values scattered across the full `u32` range (so dictionary encode →
-//! decode round-trips are exercised at the extremes).
+//! `canonicalize`, `group_ids`, `select_eq`, `gather_rows`) is compared
+//! bit-for-bit against a reference implementation written here directly
+//! over `iter_rows()` — the seed's row-hashing semantics — on random
+//! multiset relations, including raw values scattered across the full `u32`
+//! range (so dictionary encode → decode round-trips are exercised at the
+//! extremes).  The operations that build a relation from a row subset run
+//! on codes; each is also checked against the old row-by-row rebuild
+//! (`Relation::from_rows` over the decoded rows), dictionaries and code
+//! columns included.
 
 use ajd_relation::{AttrId, AttrSet, Relation, Value};
 use proptest::prelude::*;
@@ -56,7 +60,7 @@ fn ref_group_counts(r: &Relation, attrs: &AttrSet) -> HashMap<Vec<Value>, u64> {
     let positions = r.attr_positions(attrs).unwrap();
     let mut counts: HashMap<Vec<Value>, u64> = HashMap::new();
     for row in r.iter_rows() {
-        *counts.entry(ref_key(row, &positions)).or_insert(0) += 1;
+        *counts.entry(ref_key(&row, &positions)).or_insert(0) += 1;
     }
     counts
 }
@@ -67,7 +71,7 @@ fn ref_project(r: &Relation, attrs: &AttrSet) -> Vec<Vec<Value>> {
     let mut seen: HashMap<Vec<Value>, ()> = HashMap::new();
     let mut out = Vec::new();
     for row in r.iter_rows() {
-        let key = ref_key(row, &positions);
+        let key = ref_key(&row, &positions);
         if seen.insert(key.clone(), ()).is_none() {
             out.push(key);
         }
@@ -78,7 +82,7 @@ fn ref_project(r: &Relation, attrs: &AttrSet) -> Vec<Vec<Value>> {
 /// The seed's multiset projection: one output row per input row.
 fn ref_project_multiset(r: &Relation, attrs: &AttrSet) -> Vec<Vec<Value>> {
     let positions = r.attr_positions(attrs).unwrap();
-    r.iter_rows().map(|row| ref_key(row, &positions)).collect()
+    r.iter_rows().map(|row| ref_key(&row, &positions)).collect()
 }
 
 /// The seed's `distinct`: first occurrence kept, insertion order preserved.
@@ -98,13 +102,85 @@ fn ref_distinct(r: &Relation) -> Vec<Vec<Value>> {
 fn ref_canonicalize(r: &Relation) -> Vec<Vec<Value>> {
     let attrs = r.attrs();
     let positions = r.attr_positions(&attrs).unwrap();
-    let mut rows: Vec<Vec<Value>> = r.iter_rows().map(|row| ref_key(row, &positions)).collect();
+    let mut rows: Vec<Vec<Value>> = r.iter_rows().map(|row| ref_key(&row, &positions)).collect();
     rows.sort_unstable();
     rows
 }
 
+/// The seed's `select_eq`: the rows whose `attr` value is `value`.
+fn ref_select_eq(r: &Relation, attr: AttrId, value: Value) -> Vec<Vec<Value>> {
+    let pos = r.attr_pos(attr).unwrap();
+    r.iter_rows().filter(|row| row[pos] == value).collect()
+}
+
 fn rows_of(r: &Relation) -> Vec<Vec<Value>> {
-    r.iter_rows().map(|row| row.to_vec()).collect()
+    r.iter_rows().collect()
+}
+
+/// Checks a relation built from codes against the old row-by-row rebuild:
+/// `Relation::from_rows` over the reference rows must give the same schema,
+/// the same `domain(attr)` and the same `column_codes(attr)`.
+fn check_rebuild(
+    what: &str,
+    built: &Relation,
+    schema: &[AttrId],
+    rows: &[Vec<Value>],
+) -> Result<(), String> {
+    let reference = Relation::from_rows(schema.to_vec(), rows).map_err(|e| e.to_string())?;
+    if built.schema() != reference.schema() || built.len() != reference.len() {
+        return Err(format!(
+            "{what}: schema or length differs from the row rebuild"
+        ));
+    }
+    for &attr in reference.schema() {
+        if built.domain(attr) != reference.domain(attr)
+            || built.column_codes(attr) != reference.column_codes(attr)
+        {
+            return Err(format!(
+                "{what}: column {attr} differs from the row rebuild"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Every code-level row-subset builder of a flat relation against the row
+/// rebuild of its reference rows: `distinct`, `select_eq` (a present and an
+/// absent value), `gather_rows` (the rows `i` with `keep[i] == 1`), `project` and
+/// `canonicalize`.
+fn check_builders(r: &Relation, keep: &[u8]) -> Result<(), String> {
+    check_rebuild("distinct", &r.distinct(), r.schema(), &ref_distinct(r))?;
+    let a0 = r.schema()[0];
+    let probes = [r.domain(a0).unwrap().last().copied(), Some(u32::MAX - 7)];
+    for value in probes.into_iter().flatten() {
+        let selected = r.select_eq(a0, value).map_err(|e| e.to_string())?;
+        check_rebuild(
+            "select_eq",
+            &selected,
+            r.schema(),
+            &ref_select_eq(r, a0, value),
+        )?;
+    }
+    let picked: Vec<u64> = (0..r.len() as u64)
+        .filter(|&i| keep.get(i as usize) == Some(&1))
+        .collect();
+    let gathered = r.gather_rows(&picked).map_err(|e| e.to_string())?;
+    let picked_rows: Vec<Vec<Value>> = picked.iter().map(|&i| r.row(i as usize)).collect();
+    check_rebuild("gather_rows", &gathered, r.schema(), &picked_rows)?;
+    let attrs = AttrSet::from_slice(&r.schema()[1..]);
+    let projected = r.project(&attrs).map_err(|e| e.to_string())?;
+    check_rebuild(
+        "project",
+        &projected,
+        attrs.as_slice(),
+        &ref_project(r, &attrs),
+    )?;
+    check_rebuild(
+        "canonicalize",
+        &r.canonicalize(),
+        r.attrs().as_slice(),
+        &ref_canonicalize(r),
+    )
 }
 
 /// Checks one relation against every reference operation on one attribute
@@ -123,8 +199,14 @@ fn check_equivalence(r: &Relation, attrs: &AttrSet) -> Result<(), String> {
     if counts.total != r.len() as u128 {
         return Err("group_counts total mismatch".into());
     }
-    for (key, count) in counts.iter() {
-        if reference.get(key).copied().unwrap_or(0) != count {
+    for g in 0..counts.num_groups() {
+        // Decode the code key through the column dictionaries.
+        let key: Vec<Value> = attrs
+            .iter()
+            .zip(counts.key_codes(g))
+            .map(|(a, &c)| r.domain(a).unwrap()[c as usize])
+            .collect();
+        if reference.get(&key).copied().unwrap_or(0) != counts.counts()[g] {
             return Err(format!("count mismatch for key {key:?}"));
         }
     }
@@ -134,7 +216,7 @@ fn check_equivalence(r: &Relation, attrs: &AttrSet) -> Result<(), String> {
     let positions = r.attr_positions(attrs).unwrap();
     let mut id_of_key: HashMap<Vec<Value>, u32> = HashMap::new();
     for (row, &id) in r.iter_rows().zip(ids.row_ids()) {
-        let key = ref_key(row, &positions);
+        let key = ref_key(&row, &positions);
         match id_of_key.get(&key) {
             Some(&seen) if seen != id => {
                 return Err(format!(
@@ -223,7 +305,10 @@ proptest! {
 
     /// Dense small values: the grouping kernel's mixed-radix path.
     #[test]
-    fn columnar_matches_row_path_dense(r in relation_strategy(4, 4, 40, false)) {
+    fn columnar_matches_row_path_dense(
+        r in relation_strategy(4, 4, 40, false),
+        keep in prop::collection::vec(0u8..2, 40),
+    ) {
         for attrs in [
             AttrSet::empty(),
             AttrSet::from_ids([0u32]),
@@ -238,12 +323,16 @@ proptest! {
         prop_assert_eq!(rows_of(&r.distinct()), ref_distinct(&r));
         prop_assert_eq!(rows_of(&r.canonicalize()), ref_canonicalize(&r));
         prop_assert_eq!(r.is_set(), ref_distinct(&r).len() == r.len());
+        check_builders(&r, &keep)?;
     }
 
     /// Values scattered over the full u32 range: dictionaries do real work,
     /// and encode → decode must round-trip every raw value.
     #[test]
-    fn columnar_matches_row_path_scattered(r in relation_strategy(3, 5, 40, true)) {
+    fn columnar_matches_row_path_scattered(
+        r in relation_strategy(3, 5, 40, true),
+        keep in prop::collection::vec(0u8..2, 40),
+    ) {
         for attrs in [
             AttrSet::from_ids([0u32]),
             AttrSet::from_ids([0u32, 2]),
@@ -255,6 +344,7 @@ proptest! {
         }
         prop_assert_eq!(rows_of(&r.distinct()), ref_distinct(&r));
         prop_assert_eq!(rows_of(&r.canonicalize()), ref_canonicalize(&r));
+        check_builders(&r, &keep)?;
     }
 
     /// Dictionary round-trip: the decoded view returns the pushed raw values
@@ -276,7 +366,7 @@ proptest! {
 
         // Decoded view round-trips exactly.
         for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(r.row(i), row.as_slice());
+            prop_assert_eq!(&r.row(i), row);
         }
         for attr in [AttrId(0), AttrId(1)] {
             let domain = r.domain(attr).unwrap();

@@ -3,13 +3,13 @@
 //! The contract of `Relation::group_ids_chunked` / `group_ids_with` is
 //! **bit-identity** with the serial kernel: for any relation, any attribute
 //! subset, and any worker count, the parallel grouping must produce exactly
-//! the same per-row ids, per-group counts, group code tuples and decoded
-//! keys — first-appearance numbering included.  Both kernel flavours are
+//! the same per-row ids, per-group counts and group code tuples —
+//! first-appearance numbering included.  Both kernel flavours are
 //! exercised: dense small domains drive the mixed-radix path, scattered
 //! values drive the packed-`u64` hashing path.
 
-use ajd_relation::relation::GroupIds;
-use ajd_relation::{AttrId, AttrSet, Relation, ThreadBudget, Value};
+use ajd_relation::relation::{GroupCounts, GroupIds};
+use ajd_relation::{AttrId, AttrSet, GroupKernel, Relation, ThreadBudget, Value};
 use proptest::prelude::*;
 
 /// Multiplies values by a large odd constant so raw values are scattered
@@ -58,8 +58,8 @@ fn assert_bit_identical(serial: &GroupIds, parallel: &GroupIds, what: &str) -> R
     Ok(())
 }
 
-/// Serial vs chunked at worker counts {1, 2, 4, 8}, plus decoded-key
-/// equality through `decode_group_counts`.
+/// Serial vs chunked at worker counts {1, 2, 4, 8}, plus code-key equality
+/// of the derived `GroupCounts`.
 fn check_parallel_matches_serial(r: &Relation, attrs: &AttrSet) -> Result<(), String> {
     let serial = r.group_ids(attrs).map_err(|e| e.to_string())?;
     for workers in [1usize, 2, 4, 8] {
@@ -67,18 +67,16 @@ fn check_parallel_matches_serial(r: &Relation, attrs: &AttrSet) -> Result<(), St
             .group_ids_chunked(attrs, workers)
             .map_err(|e| e.to_string())?;
         assert_bit_identical(&serial, &par, &format!("workers={workers} attrs={attrs}"))?;
-        // Decoded keys (the GroupCounts view) are identical too.
-        let sc = r.decode_group_counts(&serial);
-        let pc = r.decode_group_counts(&par);
+        // The GroupCounts view (code keys, counts, total) is identical too.
+        let sc = GroupCounts::from(serial.clone());
+        let pc = GroupCounts::from(par);
         for g in 0..sc.num_groups() {
-            if sc.key(g) != pc.key(g) || sc.key_codes(g) != pc.key_codes(g) {
-                return Err(format!(
-                    "decoded key of group {g} differs (workers={workers})"
-                ));
+            if sc.key_codes(g) != pc.key_codes(g) {
+                return Err(format!("key of group {g} differs (workers={workers})"));
             }
         }
         if sc.counts() != pc.counts() || sc.total != pc.total {
-            return Err(format!("decoded counts differ (workers={workers})"));
+            return Err(format!("counts differ (workers={workers})"));
         }
     }
     Ok(())
@@ -129,8 +127,8 @@ proptest! {
 }
 
 /// End-to-end through the budgeted entry points on a relation large enough
-/// to clear the minimum-chunk gate: `group_ids_with`, `group_counts_with`
-/// and `project_with` agree bit-for-bit with their serial counterparts at
+/// to clear the minimum-chunk gate: `group_ids_with` and
+/// `group_counts_with` agree bit-for-bit with their serial counterparts at
 /// every budget.
 #[test]
 fn budgeted_paths_match_serial_on_large_relation() {
@@ -151,7 +149,6 @@ fn budgeted_paths_match_serial_on_large_relation() {
     ] {
         let serial_ids = r.group_ids(&attrs).unwrap();
         let serial_counts = r.group_counts(&attrs).unwrap();
-        let serial_proj = r.project(&attrs).unwrap();
         for budget in [
             ThreadBudget::serial(),
             ThreadBudget::new(2),
@@ -166,13 +163,7 @@ fn budgeted_paths_match_serial_on_large_relation() {
             assert_eq!(counts.counts(), serial_counts.counts());
             assert_eq!(counts.num_groups(), serial_counts.num_groups());
             for g in 0..counts.num_groups() {
-                assert_eq!(counts.key(g), serial_counts.key(g));
-            }
-
-            let proj = r.project_with(&attrs, budget).unwrap();
-            assert_eq!(proj.len(), serial_proj.len());
-            for (a, b) in proj.iter_rows().zip(serial_proj.iter_rows()) {
-                assert_eq!(a, b);
+                assert_eq!(counts.key_codes(g), serial_counts.key_codes(g));
             }
         }
     }

@@ -3,10 +3,14 @@
 //! The contract of [`ShardedRelation`] is **bit-identity** with the flat
 //! [`Relation`] of the concatenated shard rows: for any relation, any
 //! attribute subset, any shard count (empty and single-row shards included)
-//! and any [`ThreadBudget`], grouping / counting / projection / dedup over
-//! the shards must produce exactly what the flat kernel produces —
-//! first-appearance numbering, counts, group codes, decoded keys and row
-//! order included.  Both kernel flavours are exercised: dense small domains
+//! and any [`ThreadBudget`], grouping / counting / dedup / gathers over the
+//! shards must produce exactly what the flat kernel produces —
+//! first-appearance numbering, counts, group codes and row order included.
+//! The relations built from a row subset (`collect`, `distinct`,
+//! `gather_rows`, and `select_eq` on the collected relation) run on codes;
+//! each is also checked against the old row-by-row rebuild
+//! (`Relation::from_rows` over the decoded rows), dictionaries and code
+//! columns included.  Both kernel flavours are exercised: dense small domains
 //! drive the mixed-radix path inside each shard, scattered values drive the
 //! packed-`u64` hashing path.
 //!
@@ -17,7 +21,9 @@
 //! ones.
 
 use ajd_relation::relation::GroupIds;
-use ajd_relation::{AttrId, AttrSet, Relation, ShardedRelation, ThreadBudget, Value};
+use ajd_relation::{
+    AttrId, AttrSet, GroupKernel, GroupSource, Relation, ShardedRelation, ThreadBudget, Value,
+};
 use proptest::prelude::*;
 
 /// Multiplies values by a large odd constant so raw values are scattered
@@ -31,10 +37,10 @@ fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 
-/// Shard counts exercised: the fixed {1, 2, 7} plus the CI matrix's
+/// Shard counts exercised: the fixed {1, 2, 3, 7} plus the CI matrix's
 /// `AJD_TEST_SHARDS` value (if any).
 fn shard_counts() -> Vec<usize> {
-    let mut counts = vec![1usize, 2, 7];
+    let mut counts = vec![1usize, 2, 3, 7];
     if let Some(n) = env_usize("AJD_TEST_SHARDS") {
         if n > 0 && !counts.contains(&n) {
             counts.push(n);
@@ -129,9 +135,96 @@ fn assert_rows_identical(a: &Relation, b: &Relation, what: &str) -> Result<(), S
     Ok(())
 }
 
+/// Checks a relation built from codes against the old row-by-row rebuild:
+/// `Relation::from_rows` over `rows` must give the same schema, the same
+/// `domain(attr)` and the same `column_codes(attr)`.
+fn check_rebuild(
+    what: &str,
+    built: &Relation,
+    schema: &[AttrId],
+    rows: &[Vec<Value>],
+) -> Result<(), String> {
+    let reference = Relation::from_rows(schema.to_vec(), rows).map_err(|e| e.to_string())?;
+    if built.schema() != reference.schema() || built.len() != reference.len() {
+        return Err(format!(
+            "{what}: schema or length differs from the row rebuild"
+        ));
+    }
+    for &attr in reference.schema() {
+        if built.domain(attr) != reference.domain(attr)
+            || built.column_codes(attr) != reference.column_codes(attr)
+        {
+            return Err(format!(
+                "{what}: column {attr} differs from the row rebuild"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The old `distinct`: first occurrence of every decoded row, in order.
+fn ref_distinct(r: &Relation) -> Vec<Vec<Value>> {
+    let mut out: Vec<Vec<Value>> = Vec::new();
+    for row in r.iter_rows() {
+        if !out.contains(&row) {
+            out.push(row);
+        }
+    }
+    out
+}
+
+/// `collect`, `distinct`, `gather_rows` (every second and every third row)
+/// and `select_eq` on the collected relation, flat and sharded, against
+/// the row rebuild of the decoded reference rows.
+fn check_builders(flat: &Relation, sharded: &ShardedRelation, what: &str) -> Result<(), String> {
+    let err = |e: ajd_relation::RelationError| e.to_string();
+    let schema = flat.schema();
+    let rows: Vec<Vec<Value>> = flat.iter_rows().collect();
+    let back = sharded.collect().map_err(err)?;
+    check_rebuild(&format!("{what}: collect"), &back, schema, &rows)?;
+    let distinct = ref_distinct(flat);
+    check_rebuild(
+        &format!("{what}: distinct"),
+        &flat.distinct(),
+        schema,
+        &distinct,
+    )?;
+    check_rebuild(
+        &format!("{what}: sharded distinct"),
+        &sharded.distinct(),
+        schema,
+        &distinct,
+    )?;
+    for step in [2u64, 3] {
+        let picks: Vec<u64> = (0..flat.len() as u64).filter(|i| i % step == 0).collect();
+        let picked: Vec<Vec<Value>> = picks.iter().map(|&i| rows[i as usize].clone()).collect();
+        let label = format!("{what}: gather_rows every {step}");
+        check_rebuild(
+            &label,
+            &flat.gather_rows(&picks).map_err(err)?,
+            schema,
+            &picked,
+        )?;
+        let sharded_gather = GroupKernel::gather_rows(sharded, &picks).map_err(err)?;
+        check_rebuild(
+            &format!("{label} (sharded)"),
+            &sharded_gather,
+            schema,
+            &picked,
+        )?;
+    }
+    if let Some(&value) = flat.domain(schema[0]).map_err(err)?.last() {
+        let selected: Vec<Vec<Value>> = rows.iter().filter(|r| r[0] == value).cloned().collect();
+        let built = back.select_eq(schema[0], value).map_err(err)?;
+        check_rebuild(&format!("{what}: select_eq"), &built, schema, &selected)?;
+    }
+    Ok(())
+}
+
 /// The full equivalence check for one relation and one shard count:
 /// group_ids / group_counts (every attribute subset, every budget),
-/// project, distinct, and the collect round trip.
+/// distinct, the collect round trip and the code-level row-subset
+/// builders.
 fn check_sharded_matches_flat(flat: &Relation, num_shards: usize) -> Result<(), String> {
     let sharded = flat
         .clone()
@@ -152,25 +245,19 @@ fn check_sharded_matches_flat(flat: &Relation, num_shards: usize) -> Result<(), 
                 .group_ids_with(&attrs, budget)
                 .map_err(|e| e.to_string())?;
             assert_bit_identical(&serial, &ids, &what)?;
-            // Decoded keys (the GroupCounts view) are identical too.
-            let fc = flat.decode_group_counts(&serial);
+            // The GroupCounts view (code keys, counts, total) is identical too.
+            let fc = GroupSource::group_counts(flat, &attrs).map_err(|e| e.to_string())?;
             let sc = sharded
                 .group_counts_with(&attrs, budget)
                 .map_err(|e| e.to_string())?;
             if fc.total != sc.total || fc.counts() != sc.counts() {
-                return Err(format!("{what}: decoded counts differ"));
+                return Err(format!("{what}: counts differ"));
             }
             for g in 0..fc.num_groups() {
-                if fc.key(g) != sc.key(g) || fc.key_codes(g) != sc.key_codes(g) {
-                    return Err(format!("{what}: decoded key of group {g} differs"));
+                if fc.key_codes(g) != sc.key_codes(g) {
+                    return Err(format!("{what}: key of group {g} differs"));
                 }
             }
-            // Projections are identical relations, not just equal sets.
-            let fp = flat.project(&attrs).map_err(|e| e.to_string())?;
-            let sp = sharded
-                .project_with(&attrs, budget)
-                .map_err(|e| e.to_string())?;
-            assert_rows_identical(&fp, &sp, &format!("{what}: project"))?;
         }
     }
     assert_rows_identical(
@@ -181,6 +268,7 @@ fn check_sharded_matches_flat(flat: &Relation, num_shards: usize) -> Result<(), 
     if flat.is_set() != sharded.is_set() {
         return Err(format!("shards={num_shards}: is_set disagrees"));
     }
+    check_builders(flat, &sharded, &format!("shards={num_shards}"))?;
     // The round trip reproduces the flat store, dictionaries included.
     let back = sharded.collect().map_err(|e| e.to_string())?;
     assert_rows_identical(flat, &back, &format!("shards={num_shards}: collect"))?;
@@ -249,7 +337,7 @@ proptest! {
 
             let mut flat = base.clone();
             for row in batch.iter_rows() {
-                flat.push_row(row).expect("same arity");
+                flat.push_row(&row).expect("same arity");
             }
             prop_assert_eq!(grown.len(), flat.len());
             for attrs in &sets {
@@ -292,7 +380,7 @@ proptest! {
             .map(|w| {
                 let mut shard = Relation::new(schema.clone()).expect("schema is duplicate-free");
                 for i in w[0]..w[1] {
-                    shard.push_row(r.row(i)).expect("same arity");
+                    shard.push_row(&r.row(i)).expect("same arity");
                 }
                 shard
             })

@@ -21,12 +21,8 @@ pub struct Client {
 impl Client {
     /// Connects to a server.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        let read_half = stream.try_clone()?;
-        Ok(Client {
-            reader: BufReader::new(read_half),
-            writer: BufWriter::new(stream),
-        })
+        let (reader, writer) = split_stream(TcpStream::connect(addr)?)?;
+        Ok(Client { reader, writer })
     }
 
     /// Sends one request frame and blocks for its response frame.
@@ -58,5 +54,41 @@ impl Client {
                 format!("server sent invalid JSON: {e}"),
             )
         })
+    }
+}
+
+/// Splits a connection into a buffered reader and writer, with Nagle's
+/// algorithm disabled.
+///
+/// Both ends of the protocol use this.  A request line is written as the
+/// line and its newline; with Nagle on, a long line's last segment waits
+/// for the peer's delayed ACK (tens of milliseconds on loopback), which
+/// dwarfs the request's own cost.  Disabling it is best effort: a socket
+/// that refuses the option still carries the protocol correctly.
+pub(crate) fn split_stream(
+    stream: TcpStream,
+) -> io::Result<(BufReader<TcpStream>, BufWriter<TcpStream>)> {
+    let _ = stream.set_nodelay(true);
+    let read_half = stream.try_clone()?;
+    Ok((BufReader::new(read_half), BufWriter::new(stream)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// The client's socket and an accepted server-side socket (split the
+    /// way `Server::serve` splits every connection) both disable Nagle.
+    #[test]
+    fn both_ends_disable_nagle() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        assert!(client.writer.get_ref().nodelay().unwrap());
+        assert!(client.reader.get_ref().nodelay().unwrap());
+        let (accepted, _) = listener.accept().unwrap();
+        let (reader, writer) = split_stream(accepted).unwrap();
+        assert!(writer.get_ref().nodelay().unwrap());
+        assert!(reader.get_ref().nodelay().unwrap());
     }
 }

@@ -42,7 +42,7 @@ use ajd_relation::{
 };
 use ajd_sync::atomic::{AtomicBool, Ordering};
 use ajd_sync::RwLock;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -615,11 +615,9 @@ impl<'a> Server<'a> {
     }
 
     fn serve_connection(&self, stream: TcpStream) {
-        let Ok(read_half) = stream.try_clone() else {
+        let Ok((reader, mut writer)) = crate::client::split_stream(stream) else {
             return;
         };
-        let reader = BufReader::new(read_half);
-        let mut writer = BufWriter::new(stream);
         for line in reader.lines() {
             let Ok(line) = line else { return };
             if line.trim().is_empty() {
@@ -713,10 +711,6 @@ fn cache_json(stats: &CacheStats) -> Json {
             Json::Num(stats.group_count_entries as f64),
         ),
         ("group_id_entries", Json::Num(stats.group_id_entries as f64)),
-        (
-            "projection_entries",
-            Json::Num(stats.projection_entries as f64),
-        ),
     ])
 }
 
@@ -879,6 +873,29 @@ os,bob,r2
         let j = report.get("j_nats").and_then(Json::as_f64).unwrap();
         let frame = server.handle_line(r#"{"op":"j","relation":"r","schema":[["a"],["b"]]}"#);
         assert_eq!(ok_get(&frame, "j_nats").as_f64(), Some(j));
+    }
+
+    /// A schema with a bag contained in another has a trivial support MVD:
+    /// `analyze` answers an `invalid_schema` frame instead of panicking,
+    /// while `j` and `loss` answer it normally.
+    #[test]
+    fn analyze_with_a_contained_bag_is_an_error_frame() {
+        let stores = vec![RelationStore::from_delimited(
+            "t",
+            "x0,x1,x2\n0,0,0\n0,1,1\n1,0,1\n",
+            ReadOptions::default(),
+        )
+        .unwrap()];
+        let server = Server::new(&stores, ServerConfig::default()).unwrap();
+        let schema = r#""schema":[["x0","x1","x2"],["x0","x1"]]"#;
+        let frame = server.handle_line(&format!(r#"{{"op":"analyze","relation":"t",{schema}}}"#));
+        assert_eq!(frame.get("ok").and_then(Json::as_bool), Some(false));
+        let code = frame.get("error").and_then(|e| e.get("code"));
+        assert_eq!(code.and_then(Json::as_str), Some("invalid_schema"));
+        for op in ["j", "loss"] {
+            let frame = server.handle_line(&format!(r#"{{"op":"{op}","relation":"t",{schema}}}"#));
+            assert_eq!(frame.get("ok").and_then(Json::as_bool), Some(true), "{op}");
+        }
     }
 
     #[test]

@@ -17,12 +17,12 @@ fn ajd_holds_iff_all_support_mvds_hold() {
     let tree = JoinTree::from_acyclic_schema(&[bag(&[0, 2]), bag(&[1, 2])]).unwrap();
     let report = Analyzer::new(&lossless).analyze(&tree).unwrap();
     assert!(report.is_lossless());
-    for mvd in support(&tree) {
+    for mvd in support(&tree).unwrap() {
         assert!(mvd.holds_in(&lossless).unwrap());
     }
 
     // Lossy case: remove one tuple; the AJD breaks, and so does some MVD.
-    let mut rows: Vec<Vec<u32>> = lossless.iter_rows().map(|t| t.to_vec()).collect();
+    let mut rows: Vec<Vec<u32>> = lossless.iter_rows().collect();
     rows.pop();
     let lossy = Relation::from_rows(
         lossless.schema().to_vec(),
@@ -31,7 +31,10 @@ fn ajd_holds_iff_all_support_mvds_hold() {
     .unwrap();
     let lossy_report = Analyzer::new(&lossy).analyze(&tree).unwrap();
     assert!(!lossy_report.is_lossless());
-    assert!(support(&tree).iter().any(|m| !m.holds_in(&lossy).unwrap()));
+    assert!(support(&tree)
+        .unwrap()
+        .iter()
+        .any(|m| !m.holds_in(&lossy).unwrap()));
     // Theorem 2.1 (Lee): J > 0 exactly in the lossy case.
     assert!(lossy_report.j_measure > 1e-9);
 }
